@@ -1,6 +1,6 @@
 //! Golden-fixture tests for the two binary wire formats: the federation
-//! checkpoint container (`PFRL-FEDCKPT\x01`) and the policy-snapshot
-//! container (`PFRL-POLICY\x01`).
+//! checkpoint container (`PFRL-FEDCKPT\x01`, one fixture per algorithm)
+//! and the policy-snapshot container (`PFRL-POLICY\x01`).
 //!
 //! The fixtures under `tests/fixtures/` are known-good bytes committed to
 //! the repository. Round-trip unit tests only prove the *current* encoder
@@ -13,7 +13,8 @@
 
 use pfrl_core::experiment::{run_federation, Algorithm};
 use pfrl_core::fed::{
-    ClientSetup, FaultPlan, FedAvgRunner, FedConfig, PfrlDmRunner, PolicySnapshot,
+    ClientSetup, FaultPlan, FedAvgRunner, FedConfig, IndependentRunner, MfpoRunner, PfrlDmRunner,
+    PolicySnapshot,
 };
 use pfrl_core::rl::PpoConfig;
 use pfrl_core::serve::Session;
@@ -94,6 +95,28 @@ fn fedavg_runner() -> FedAvgRunner {
     .with_fault_plan(fixture_plan())
 }
 
+fn mfpo_runner() -> MfpoRunner {
+    MfpoRunner::new(
+        fixture_setups(),
+        fixture_dims(),
+        EnvConfig::default(),
+        PpoConfig::default(),
+        fixture_fed(),
+    )
+    .with_fault_plan(fixture_plan())
+}
+
+fn ppo_runner() -> IndependentRunner {
+    IndependentRunner::new(
+        fixture_setups(),
+        fixture_dims(),
+        EnvConfig::default(),
+        PpoConfig::default(),
+        fixture_fed(),
+    )
+    .with_fault_plan(fixture_plan())
+}
+
 /// Policy fixtures come from a tiny full federation (both agent bodies:
 /// PFRL-DM exercises the dual-critic snapshot, PPO the single-critic one).
 fn policy_fixture_bytes(alg: Algorithm) -> Vec<u8> {
@@ -125,6 +148,30 @@ fn golden_fedckpt_fedavg_still_restores() {
     let bytes = read_fixture("fedavg_round1.fedckpt");
     let mut runner = fedavg_runner();
     runner.restore_checkpoint(&bytes).expect("committed FedAvg checkpoint must restore");
+    assert_eq!(runner.rounds_done(), 1);
+    let curves = runner.train();
+    assert_eq!(curves.clients(), 3);
+    assert!(curves.per_client.iter().all(|c| c.iter().all(|r| r.is_finite())));
+}
+
+#[test]
+fn golden_fedckpt_mfpo_still_restores() {
+    let bytes = read_fixture("mfpo_round1.fedckpt");
+    let mut runner = mfpo_runner();
+    runner.restore_checkpoint(&bytes).expect("committed MFPO checkpoint must restore");
+    assert_eq!(runner.rounds_done(), 1);
+    let curves = runner.train();
+    assert_eq!(curves.clients(), 3);
+    assert!(curves.per_client.iter().all(|c| c.iter().all(|r| r.is_finite())));
+}
+
+/// The PPO format carries no fault bookkeeping (nothing travels, so the
+/// quarantine state never reaches training).
+#[test]
+fn golden_fedckpt_ppo_still_restores() {
+    let bytes = read_fixture("ppo_round1.fedckpt");
+    let mut runner = ppo_runner();
+    runner.restore_checkpoint(&bytes).expect("committed PPO checkpoint must restore");
     assert_eq!(runner.rounds_done(), 1);
     let curves = runner.train();
     assert_eq!(curves.clients(), 3);
@@ -187,6 +234,14 @@ fn regenerate_golden_fixtures() {
     let mut fa = fedavg_runner();
     fa.train_round();
     std::fs::write(fixture_path("fedavg_round1.fedckpt"), fa.checkpoint_bytes()).unwrap();
+
+    let mut mf = mfpo_runner();
+    mf.train_round();
+    std::fs::write(fixture_path("mfpo_round1.fedckpt"), mf.checkpoint_bytes()).unwrap();
+
+    let mut ppo = ppo_runner();
+    ppo.train_round();
+    std::fs::write(fixture_path("ppo_round1.fedckpt"), ppo.checkpoint_bytes()).unwrap();
 
     std::fs::write(fixture_path("pfrl_dm_client0.policy"), policy_fixture_bytes(Algorithm::PfrlDm))
         .unwrap();
