@@ -3,6 +3,7 @@
 //! and checkpoint/kill/resume — across all four runners.
 
 use pfrl_core::experiment::{run_federation_resumable, Algorithm, CheckpointConfig};
+use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_fed::{
     ClientSetup, FaultPlan, FedAvgRunner, FedConfig, IndependentRunner, MfpoRunner, PfrlDmRunner,
     QuarantinePolicy, TrainingCurves,
@@ -124,6 +125,34 @@ fn faults_surface_in_telemetry() {
         snap.histogram("fed/participation_fraction").is_some(),
         "participation fraction not observed"
     );
+}
+
+/// FedAvg's uniform broadcast also refreshes connected clients whose upload
+/// was refused (quarantined with no fallback, or screened); every model it
+/// sends must be counted in `fed/bytes_down`.
+#[test]
+fn fedavg_bytes_down_counts_every_receiver() {
+    let rec = Arc::new(InMemoryRecorder::new());
+    let cfg = FedConfig { comm_every: 1, participation_k: 4, ..fed(4, false) };
+    let mut r = FedAvgRunner::new(
+        table2_clients(40, 6),
+        TABLE2_DIMS,
+        EnvConfig::default(),
+        PpoConfig::default(),
+        cfg,
+    )
+    .with_telemetry(Telemetry::new(rec.clone()))
+    .with_fault_plan(FaultPlan::new(3).with_corrupt(0.5))
+    .with_quarantine_policy(QuarantinePolicy { evict_after: 1000, ..QuarantinePolicy::default() });
+    let _ = r.train();
+    let snap = rec.snapshot();
+    assert!(snap.counter("fed/quarantined") > 0, "the plan must refuse some uploads");
+    // Corruption never disconnects a client and nobody is evicted, so every
+    // round that aggregates sends the average to all four clients.
+    let agent = &r.clients[0].agent;
+    let per_model = 4 * (agent.actor_params().len() + agent.critic_params().len()) as u64;
+    let aggregated_rounds = 4 - snap.counter("fed/skipped_rounds");
+    assert_eq!(snap.counter("fed/bytes_down"), aggregated_rounds * 4 * per_model);
 }
 
 #[test]
