@@ -2,7 +2,8 @@
 
 use pfrl_fed::{
     AttackPlan, ClientSetup, FaultPlan, FedAvgRunner, FedConfig, FedError, FederatedRunner,
-    IndependentRunner, MfpoRunner, PfrlDmRunner, PolicySnapshot, RobustConfig, TrainingCurves,
+    Federation, IndependentRunner, MfpoRunner, PfrlDmRunner, PolicySnapshot, RobustConfig,
+    ServerRule, TrainingCurves,
 };
 use pfrl_rl::PpoConfig;
 use pfrl_scenario::ScenarioBinding;
@@ -53,7 +54,7 @@ impl std::fmt::Display for Algorithm {
 ///
 /// Every accessor dispatches through the [`FederatedRunner`] trait — there
 /// is no per-algorithm branching here, so a fifth policy family only needs
-/// a trait impl, not edits to this type.
+/// a new [`ServerRule`], not edits to this type.
 pub struct TrainedFederation {
     algorithm: Algorithm,
     runner: Box<dyn FederatedRunner>,
@@ -234,22 +235,24 @@ pub fn run_federation_with_options(
     (curves, TrainedFederation::new(algorithm, runner))
 }
 
-/// Applies the post-construction builders shared by all four runners.
-macro_rules! configured {
-    ($runner:expr, $telemetry:expr, $options:expr) => {{
-        let mut r = $runner
-            .with_telemetry($telemetry)
-            .with_fault_plan($options.fault_plan)
-            .with_attack_plan($options.attack_plan)
-            .with_robust_aggregator($options.robust);
-        if let Some(binding) = &$options.scenario {
-            r = r.with_scenario(binding);
-        }
-        if let Some(pools) = &$options.workflows {
-            r = r.with_workflows(pools.clone(), $options.workflows_per_episode);
-        }
-        Box::new(r)
-    }};
+/// Applies the run-shaping builders of `options` and boxes the runner.
+fn configured<R: ServerRule>(
+    runner: Federation<R>,
+    telemetry: Telemetry,
+    options: &RunOptions,
+) -> Box<dyn FederatedRunner> {
+    let mut r = runner
+        .with_telemetry(telemetry)
+        .with_fault_plan(options.fault_plan)
+        .with_attack_plan(options.attack_plan)
+        .with_robust_aggregator(options.robust);
+    if let Some(binding) = &options.scenario {
+        r = r.with_scenario(binding);
+    }
+    if let Some(pools) = &options.workflows {
+        r = r.with_workflows(pools.clone(), options.workflows_per_episode);
+    }
+    Box::new(r)
 }
 
 /// Constructs the requested runner behind the uniform trait. This is the
@@ -266,29 +269,12 @@ fn build_runner(
     telemetry: Telemetry,
     options: &RunOptions,
 ) -> Box<dyn FederatedRunner> {
+    let (s, d, e, p, f) = (setups, dims, env_cfg, ppo_cfg, fed_cfg);
     match algorithm {
-        Algorithm::PfrlDm => configured!(
-            PfrlDmRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
-        Algorithm::FedAvg => configured!(
-            FedAvgRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
-        Algorithm::Mfpo => {
-            configured!(
-                MfpoRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-                telemetry,
-                options
-            )
-        }
-        Algorithm::Ppo => configured!(
-            IndependentRunner::new(setups, dims, env_cfg, ppo_cfg, fed_cfg),
-            telemetry,
-            options
-        ),
+        Algorithm::PfrlDm => configured(PfrlDmRunner::new(s, d, e, p, f), telemetry, options),
+        Algorithm::FedAvg => configured(FedAvgRunner::new(s, d, e, p, f), telemetry, options),
+        Algorithm::Mfpo => configured(MfpoRunner::new(s, d, e, p, f), telemetry, options),
+        Algorithm::Ppo => configured(IndependentRunner::new(s, d, e, p, f), telemetry, options),
     }
 }
 

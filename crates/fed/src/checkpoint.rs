@@ -19,13 +19,19 @@ use std::io;
 /// Magic + format version prefix of every federation checkpoint.
 pub(crate) const MAGIC: &[u8; 13] = b"PFRL-FEDCKPT\x01";
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// Little-endian byte sink for checkpoint encoding.
-pub(crate) struct Writer {
+pub struct Writer {
     buf: Vec<u8>,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Writer {
@@ -112,7 +118,7 @@ impl Writer {
 }
 
 /// Strict little-endian reader for checkpoint decoding.
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }

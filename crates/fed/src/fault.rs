@@ -443,13 +443,9 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the state for `n` clients.
     pub fn new(plan: FaultPlan, policy: QuarantinePolicy, n: usize) -> Self {
-        plan.validate();
-        assert!(policy.norm_limit > 0.0, "norm_limit must be positive");
-        assert!(policy.evict_after >= 1, "evict_after must be >= 1");
-        assert!((0.0..=1.0).contains(&policy.staleness_decay), "staleness_decay outside [0, 1]");
-        Self {
-            plan,
-            policy,
+        let mut state = Self {
+            plan: FaultPlan::none(),
+            policy: QuarantinePolicy::default(),
             clients: vec![ClientFault::default(); n],
             churn: ChurnPlan::none(),
             attack: AttackPlan::none(),
@@ -457,7 +453,24 @@ impl FaultState {
             last_rejection: None,
             enrolled: n,
             telemetry: Telemetry::noop(),
-        }
+        };
+        state.set_plan(plan);
+        state.set_policy(policy);
+        state
+    }
+
+    /// Replaces the fault schedule, keeping everything else.
+    pub fn set_plan(&mut self, plan: FaultPlan) {
+        plan.validate();
+        self.plan = plan;
+    }
+
+    /// Replaces the quarantine policy, keeping everything else.
+    pub fn set_policy(&mut self, policy: QuarantinePolicy) {
+        assert!(policy.norm_limit > 0.0, "norm_limit must be positive");
+        assert!(policy.evict_after >= 1, "evict_after must be >= 1");
+        assert!((0.0..=1.0).contains(&policy.staleness_decay), "staleness_decay outside [0, 1]");
+        self.policy = policy;
     }
 
     /// Installs the churn plan (construction-time config; replaces any
