@@ -20,8 +20,8 @@
 use pfrl_core::experiment::{run_federation_with_options, Algorithm, RunOptions};
 use pfrl_core::fed::scenario::{ChurnEvent, ChurnKind, ChurnPlan, ScenarioBinding, ScenarioPlan};
 use pfrl_core::fed::{
-    AttackPlan, ClientSetup, FaultPlan, FedAvgRunner, FedConfig, PfrlDmRunner, RobustConfig,
-    TrainingCurves,
+    AttackPlan, ClientSetup, FaultPlan, FedAvgRunner, FedConfig, IndependentRunner, PfrlDmRunner,
+    RobustConfig, TrainingCurves,
 };
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
 use pfrl_core::rl::PpoConfig;
@@ -48,6 +48,9 @@ const PINS: &[(&str, usize, u64, u64)] = &[
     ("FedAvg/mixing", 305571, 0x75bf9bd9718e7ad4, 0xcf24d357d6ddc548),
     ("FedAvg/secure", 304966, 0x354b3672fa8dfb10, 0xad615ff40274a9f0),
     ("PFRL-DM/add_client", 455312, 0x86952b6f0fc6684b, 0xcd4bd4f84c62aac8),
+    ("PFRL-DM/fixed_alpha", 371819, 0x1219e28dd1585a95, 0x8c7dbf8dc8f723d4),
+    ("PPO/critic_first", 224774, 0x324780c0ac3ee599, 0xc9793503a9c50d5c),
+    ("PFRL-DM/critic_first", 346130, 0x4a1ba6a2bd203d45, 0xe1e95254af131134),
 ];
 
 fn dims() -> EnvDims {
@@ -159,6 +162,22 @@ fn all_pins() -> Vec<(String, usize, u64, u64)> {
     joined.add_client(joiner, true);
     let curves = joined.train();
     out.push(pin("PFRL-DM/add_client", joined.checkpoint_bytes(), &curves));
+
+    // α pinned to the local critic: the blend ignores the public critic.
+    let mut fixed = PfrlDmRunner::new(setups(4), d, e, p, fed());
+    fixed.set_fixed_alpha(Some(1.0));
+    let curves = fixed.train();
+    out.push(pin("PFRL-DM/fixed_alpha", fixed.checkpoint_bytes(), &curves));
+
+    // The update-order ablation: critics step before the actor, with
+    // feasibility masking on.
+    let ordered = PpoConfig { critic_first: true, mask_invalid_actions: true, ..p };
+    let mut ppo = IndependentRunner::new(setups(4), d, e, ordered, fed());
+    let curves = ppo.train();
+    out.push(pin("PPO/critic_first", ppo.checkpoint_bytes(), &curves));
+    let mut dm = PfrlDmRunner::new(setups(4), d, e, ordered, fed());
+    let curves = dm.train();
+    out.push(pin("PFRL-DM/critic_first", dm.checkpoint_bytes(), &curves));
     out
 }
 
