@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfrl_core::nn::{multi_head_attention_weights, Activation, Mlp, MultiHeadConfig};
 use pfrl_core::presets::{table3_clients, TABLE3_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{Action, CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_core::stats::wilcoxon_signed_rank;
 use pfrl_core::tensor::Matrix;
@@ -82,7 +82,7 @@ fn bench_ppo(c: &mut Criterion) {
             vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)],
             EnvConfig::default(),
         );
-        let mut agent = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 3);
+        let mut agent = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 3);
         b.iter(|| {
             env.reset(tasks.clone());
             black_box(agent.train_one_episode(&mut env))

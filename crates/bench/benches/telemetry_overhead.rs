@@ -12,17 +12,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig};
 use pfrl_core::telemetry::{InMemoryRecorder, Telemetry};
 use pfrl_core::workloads::TaskSpec;
 use std::sync::Arc;
 
-fn episode_fixture() -> (CloudEnv, PpoAgent, Vec<TaskSpec>) {
+fn episode_fixture() -> (CloudEnv, Agent, Vec<TaskSpec>) {
     let setup = table2_clients(200, 3).remove(0);
     let env = CloudEnv::new(TABLE2_DIMS, setup.vms.clone(), EnvConfig::default());
     let agent =
-        PpoAgent::new(TABLE2_DIMS.state_dim(), TABLE2_DIMS.action_dim(), PpoConfig::default(), 7);
+        Agent::new(TABLE2_DIMS.state_dim(), TABLE2_DIMS.action_dim(), 1, PpoConfig::default(), 7);
     let mut tasks: Vec<TaskSpec> = setup.train_tasks[..40].to_vec();
     let base = tasks[0].arrival;
     for (i, t) in tasks.iter_mut().enumerate() {

@@ -7,7 +7,7 @@
 
 use pfrl_bench::{emit, start};
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig};
 use rayon::prelude::*;
 
@@ -24,9 +24,10 @@ fn main() {
             let mut sums = vec![0.0f64; scale.episodes_exploratory];
             for (ci, c) in clients.iter().enumerate() {
                 let mut env = CloudEnv::new(TABLE2_DIMS, c.vms.clone(), EnvConfig::default());
-                let mut agent = PpoAgent::new(
+                let mut agent = Agent::new(
                     TABLE2_DIMS.state_dim(),
                     TABLE2_DIMS.action_dim(),
+                    1,
                     cfg,
                     40 + ci as u64,
                 );

@@ -4,7 +4,7 @@
 use pfrl_bench::{emit, start};
 use pfrl_core::csv_row;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig};
 use rayon::prelude::*;
 
@@ -18,9 +18,10 @@ fn main() {
         .map(|&rho| {
             let env_cfg = EnvConfig { rho, ..Default::default() };
             let mut env = CloudEnv::new(TABLE2_DIMS, client.vms.clone(), env_cfg);
-            let mut agent = PpoAgent::new(
+            let mut agent = Agent::new(
                 TABLE2_DIMS.state_dim(),
                 TABLE2_DIMS.action_dim(),
+                1,
                 PpoConfig::default(),
                 77,
             );

@@ -11,7 +11,7 @@
 use pfrl_bench::{emit, start};
 use pfrl_core::csv_row;
 use pfrl_core::presets::{table2_clients, TABLE2_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig};
 use pfrl_core::workloads::{combined_heterogeneous, train_test_split, TaskSpec};
 use rayon::prelude::*;
@@ -22,11 +22,12 @@ fn train_agent(
     episodes: usize,
     window: Option<usize>,
     seed: u64,
-) -> PpoAgent {
+) -> Agent {
     let mut env = CloudEnv::new(TABLE2_DIMS, vms.to_vec(), EnvConfig::default());
-    let mut agent = PpoAgent::new(
+    let mut agent = Agent::new(
         TABLE2_DIMS.state_dim(),
         TABLE2_DIMS.action_dim(),
+        1,
         PpoConfig::default(),
         seed,
     );
@@ -45,7 +46,7 @@ fn train_agent(
     agent
 }
 
-fn eval_response(agent: &mut PpoAgent, vms: &[pfrl_core::sim::VmSpec], tasks: &[TaskSpec]) -> f64 {
+fn eval_response(agent: &mut Agent, vms: &[pfrl_core::sim::VmSpec], tasks: &[TaskSpec]) -> f64 {
     let mut env = CloudEnv::new(TABLE2_DIMS, vms.to_vec(), EnvConfig::default());
     env.reset(tasks.to_vec());
     agent.evaluate(&mut env).avg_response

@@ -93,7 +93,7 @@ fn main() {
     let critic_params: Vec<Vec<f32>> =
         runner.clients.iter().map(|c| c.agent.critic_params()).collect();
     let critics: Vec<pfrl_core::nn::Mlp> =
-        runner.clients.iter().map(|c| c.agent.critic.clone()).collect();
+        runner.clients.iter().map(|c| c.agent.critic(0).clone()).collect();
 
     let att = similarity::attention_weights(&critic_params, &MultiHeadConfig::default());
     let probes = probe_states(&setups[0], 64);

@@ -6,7 +6,7 @@ use pfrl_bench::{emit, start};
 use pfrl_core::csv_row;
 use pfrl_core::fed::{ClientSetup, FedConfig, PfrlDmRunner};
 use pfrl_core::presets::{table3_clients, TABLE3_DIMS};
-use pfrl_core::rl::{PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig};
 use pfrl_core::workloads::DatasetId;
 
@@ -43,7 +43,7 @@ fn main() {
     // Control: fresh PPO in the identical environment, same episode count,
     // same per-episode task windows.
     let mut control =
-        PpoAgent::new(TABLE3_DIMS.state_dim(), TABLE3_DIMS.action_dim(), ppo_cfg, 2021);
+        Agent::new(TABLE3_DIMS.state_dim(), TABLE3_DIMS.action_dim(), 1, ppo_cfg, 2021);
     let mut env = CloudEnv::new(TABLE3_DIMS, joiner.vms.clone(), EnvConfig::default());
     let n =
         scale.tasks_per_episode.unwrap_or(joiner.train_tasks.len()).min(joiner.train_tasks.len());

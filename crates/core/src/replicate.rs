@@ -1,4 +1,4 @@
-//! Multi-seed replication driver over [`FederatedRunner`].
+//! Multi-seed replication driver over [`FederatedRunner`](pfrl_fed::FederatedRunner).
 //!
 //! Single-seed curves are one sample from a noisy distribution — nothing a
 //! regression gate can lean on. [`run_replications`] fans `R` independent

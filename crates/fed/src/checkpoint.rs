@@ -11,7 +11,7 @@
 
 use crate::fault::ClientFault;
 use pfrl_nn::AdamState;
-use pfrl_rl::{BufferSnapshot, DualAgentSnapshot, PpoAgentSnapshot};
+use pfrl_rl::{AgentSnapshot, Blend, BufferSnapshot};
 use pfrl_tensor::Matrix;
 use std::collections::VecDeque;
 use std::io;
@@ -309,58 +309,43 @@ pub(crate) fn read_buffer(r: &mut Reader<'_>) -> io::Result<BufferSnapshot> {
     })
 }
 
-pub(crate) fn write_ppo_agent(w: &mut Writer, s: &PpoAgentSnapshot) {
+/// Encodes an agent: actor, critics, actor and critic optimizers, the α
+/// state (two critics only), RNG, batch and episode cursor.
+pub(crate) fn write_agent(w: &mut Writer, s: &AgentSnapshot) {
     w.vec_f32(&s.actor);
-    w.vec_f32(&s.critic);
+    s.critics.iter().for_each(|c| w.vec_f32(c));
     write_adam(w, &s.actor_opt);
-    write_adam(w, &s.critic_opt);
-    w.rng_state(s.rng);
-    write_buffer(w, &s.buffer);
-    w.usize(s.episodes_buffered);
-}
-
-pub(crate) fn read_ppo_agent(r: &mut Reader<'_>) -> io::Result<PpoAgentSnapshot> {
-    Ok(PpoAgentSnapshot {
-        actor: r.vec_f32()?,
-        critic: r.vec_f32()?,
-        actor_opt: read_adam(r)?,
-        critic_opt: read_adam(r)?,
-        rng: r.rng_state()?,
-        buffer: read_buffer(r)?,
-        episodes_buffered: r.usize()?,
-    })
-}
-
-pub(crate) fn write_dual_agent(w: &mut Writer, s: &DualAgentSnapshot) {
-    w.vec_f32(&s.actor);
-    w.vec_f32(&s.local_critic);
-    w.vec_f32(&s.public_critic);
-    write_adam(w, &s.actor_opt);
-    write_adam(w, &s.local_opt);
-    write_adam(w, &s.public_opt);
-    w.f32(s.alpha);
-    match s.fixed_alpha {
-        Some(a) => {
-            w.bool(true);
-            w.f32(a);
+    s.critic_opts.iter().for_each(|o| write_adam(w, o));
+    if let Some(blend) = s.blend {
+        w.f32(blend.alpha);
+        match blend.fixed {
+            Some(a) => {
+                w.bool(true);
+                w.f32(a);
+            }
+            None => w.bool(false),
         }
-        None => w.bool(false),
     }
     w.rng_state(s.rng);
     write_buffer(w, &s.buffer);
     w.usize(s.episodes_buffered);
 }
 
-pub(crate) fn read_dual_agent(r: &mut Reader<'_>) -> io::Result<DualAgentSnapshot> {
-    Ok(DualAgentSnapshot {
+/// Decodes an agent written by [`write_agent`] with `critics` critics —
+/// the count of the agent it restores into.
+pub(crate) fn read_agent(r: &mut Reader<'_>, critics: usize) -> io::Result<AgentSnapshot> {
+    Ok(AgentSnapshot {
         actor: r.vec_f32()?,
-        local_critic: r.vec_f32()?,
-        public_critic: r.vec_f32()?,
+        critics: (0..critics).map(|_| r.vec_f32()).collect::<io::Result<_>>()?,
         actor_opt: read_adam(r)?,
-        local_opt: read_adam(r)?,
-        public_opt: read_adam(r)?,
-        alpha: r.f32()?,
-        fixed_alpha: if r.bool()? { Some(r.f32()?) } else { None },
+        critic_opts: (0..critics).map(|_| read_adam(r)).collect::<io::Result<_>>()?,
+        blend: match critics {
+            2 => Some(Blend {
+                alpha: r.f32()?,
+                fixed: if r.bool()? { Some(r.f32()?) } else { None },
+            }),
+            _ => None,
+        },
         rng: r.rng_state()?,
         buffer: read_buffer(r)?,
         episodes_buffered: r.usize()?,

@@ -1,13 +1,9 @@
 //! A federated client: an agent bound to its private environment and
 //! workload pool.
 
-use crate::checkpoint::{
-    read_dual_agent, read_ppo_agent, write_dual_agent, write_ppo_agent, Reader, Writer,
-};
 use crate::config::{ClientSetup, FedConfig};
 use crate::snapshot::PolicySnapshot;
-use pfrl_nn::Mlp;
-use pfrl_rl::{DualAgentSnapshot, DualCriticAgent, PpoAgent, PpoAgentSnapshot, PpoConfig};
+use pfrl_rl::Agent;
 use pfrl_scenario::ClientTrace;
 use pfrl_sim::{CloudEnv, DagCloudEnv, EnvConfig, EnvDims, EpisodeMetrics, SchedulingEnv};
 use pfrl_stats::seeding::SeedStream;
@@ -17,95 +13,6 @@ use pfrl_workloads::TaskSpec;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::io;
-
-/// Minimal agent interface the federation machinery needs.
-pub trait FedAgent: Send {
-    /// Resumable training state, as a federation checkpoint carries it.
-    type Snapshot;
-    /// A fresh agent for a `state_dim`-feature, `action_dim`-action env.
-    fn new(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self;
-    /// One training episode on a freshly reset env; returns total reward.
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32;
-    /// Greedy evaluation on a freshly reset env (`&mut self`: the agents
-    /// route per-decision tensors through internal scratch buffers).
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics;
-    /// Routes the agent's metrics to `telemetry`. Default: ignore.
-    fn set_telemetry(&mut self, _telemetry: Telemetry) {}
-    /// The policy (actor) network — the part of the agent a serving
-    /// snapshot exports.
-    fn actor(&self) -> &Mlp;
-    /// The agent's PPO configuration (hidden width, masking flag).
-    fn ppo_config(&self) -> &PpoConfig;
-    /// Encodes the agent's resumable state.
-    fn write_snapshot(&self, w: &mut Writer);
-    /// Decodes state written by [`Self::write_snapshot`].
-    fn read_snapshot(r: &mut Reader<'_>) -> io::Result<Self::Snapshot>;
-    /// Loads decoded state.
-    fn restore(&mut self, snapshot: &Self::Snapshot);
-}
-
-impl FedAgent for PpoAgent {
-    type Snapshot = PpoAgentSnapshot;
-    fn new(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self {
-        PpoAgent::new(state_dim, action_dim, cfg, seed)
-    }
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
-        self.train_one_episode(env)
-    }
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics {
-        self.evaluate(env)
-    }
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        PpoAgent::set_telemetry(self, telemetry);
-    }
-    fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-    fn ppo_config(&self) -> &PpoConfig {
-        self.config()
-    }
-    fn write_snapshot(&self, w: &mut Writer) {
-        write_ppo_agent(w, &self.snapshot());
-    }
-    fn read_snapshot(r: &mut Reader<'_>) -> io::Result<PpoAgentSnapshot> {
-        read_ppo_agent(r)
-    }
-    fn restore(&mut self, snapshot: &PpoAgentSnapshot) {
-        PpoAgent::restore(self, snapshot);
-    }
-}
-
-impl FedAgent for DualCriticAgent {
-    type Snapshot = DualAgentSnapshot;
-    fn new(state_dim: usize, action_dim: usize, cfg: PpoConfig, seed: u64) -> Self {
-        DualCriticAgent::new(state_dim, action_dim, cfg, seed)
-    }
-    fn train_episode(&mut self, env: &mut dyn SchedulingEnv) -> f32 {
-        self.train_one_episode(env)
-    }
-    fn evaluate_episode(&mut self, env: &mut dyn SchedulingEnv) -> EpisodeMetrics {
-        self.evaluate(env)
-    }
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        DualCriticAgent::set_telemetry(self, telemetry);
-    }
-    fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-    fn ppo_config(&self) -> &PpoConfig {
-        self.config()
-    }
-    fn write_snapshot(&self, w: &mut Writer) {
-        write_dual_agent(w, &self.snapshot());
-    }
-    fn read_snapshot(r: &mut Reader<'_>) -> io::Result<DualAgentSnapshot> {
-        read_dual_agent(r)
-    }
-    fn restore(&mut self, snapshot: &DualAgentSnapshot) {
-        DualCriticAgent::restore(self, snapshot);
-    }
-}
 
 /// The environment a client trains in: the paper's flat task stream, or the
 /// dependency-aware workflow environment (both share dims, action space, and
@@ -141,9 +48,9 @@ impl ClientEnv {
 }
 
 /// One client of the federation.
-pub struct Client<A: FedAgent> {
+pub struct Client {
     /// The learning agent.
-    pub agent: A,
+    pub agent: Agent,
     /// Display name.
     pub name: String,
     /// Episode rewards collected so far.
@@ -162,11 +69,11 @@ pub struct Client<A: FedAgent> {
     workflows_per_episode: Option<usize>,
 }
 
-impl<A: FedAgent> Client<A> {
+impl Client {
     /// Builds a client from its setup, agent, and the shared dims/config.
     pub fn new(
         setup: ClientSetup,
-        agent: A,
+        agent: Agent,
         dims: EnvDims,
         env_cfg: EnvConfig,
         fed_cfg: &FedConfig,
@@ -189,6 +96,11 @@ impl<A: FedAgent> Client<A> {
             workflows: Vec::new(),
             workflows_per_episode: None,
         }
+    }
+
+    /// Display name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Routes this client's agent and environment metrics to `telemetry`.
@@ -296,12 +208,12 @@ impl<A: FedAgent> Client<A> {
                 let workflows = self.episode_workflows(episode);
                 let ClientEnv::Dag(env) = &mut self.env else { unreachable!() };
                 env.reset(workflows);
-                self.agent.train_episode(env)
+                self.agent.train_one_episode(env)
             } else {
                 let tasks = self.episode_tasks(episode);
                 let ClientEnv::Flat(env) = &mut self.env else { unreachable!() };
                 env.reset(tasks);
-                self.agent.train_episode(env)
+                self.agent.train_one_episode(env)
             };
             self.rewards.push(r as f64);
             self.episodes_done += 1;
@@ -318,7 +230,7 @@ impl<A: FedAgent> Client<A> {
         match &mut self.env {
             ClientEnv::Flat(env) => {
                 env.reset(tasks.to_vec());
-                self.agent.evaluate_episode(env)
+                self.agent.evaluate(env)
             }
             ClientEnv::Dag(env) => {
                 let workflows = tasks
@@ -329,7 +241,7 @@ impl<A: FedAgent> Client<A> {
                     })
                     .collect();
                 env.reset(workflows);
-                self.agent.evaluate_episode(env)
+                self.agent.evaluate(env)
             }
         }
     }
@@ -338,7 +250,7 @@ impl<A: FedAgent> Client<A> {
     /// definition as an inference-only snapshot. `algorithm` is the paper
     /// name of the runner that trained it.
     pub fn policy_snapshot(&self, algorithm: &str) -> PolicySnapshot {
-        let cfg = self.agent.ppo_config();
+        let cfg = self.agent.config();
         PolicySnapshot {
             algorithm: algorithm.to_string(),
             client: self.name.clone(),
@@ -348,7 +260,7 @@ impl<A: FedAgent> Client<A> {
             vms: self.env.vm_specs().to_vec(),
             hidden: cfg.hidden,
             mask_actions: cfg.mask_invalid_actions,
-            actor_params: self.agent.actor().flat_params(),
+            actor_params: self.agent.actor.flat_params(),
         }
     }
 }
@@ -372,9 +284,9 @@ mod tests {
         }
     }
 
-    fn client(fed_cfg: &FedConfig) -> Client<PpoAgent> {
+    fn client(fed_cfg: &FedConfig) -> Client {
         let d = dims();
-        let agent = PpoAgent::new(d.state_dim(), d.action_dim(), PpoConfig::default(), 5);
+        let agent = Agent::new(d.state_dim(), d.action_dim(), 1, PpoConfig::default(), 5);
         Client::new(setup(), agent, d, EnvConfig::default(), fed_cfg, 0)
     }
 
@@ -423,7 +335,7 @@ mod tests {
     #[should_panic(expected = "no tasks")]
     fn empty_task_pool_rejected() {
         let d = dims();
-        let agent = PpoAgent::new(d.state_dim(), d.action_dim(), PpoConfig::default(), 5);
+        let agent = Agent::new(d.state_dim(), d.action_dim(), 1, PpoConfig::default(), 5);
         let s = ClientSetup {
             name: "empty".into(),
             vms: vec![VmSpec::new(8, 64.0)],

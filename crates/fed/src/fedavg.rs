@@ -5,11 +5,11 @@
 use crate::checkpoint::{Reader, Writer};
 use crate::client::Client;
 use crate::config::FedConfig;
-use crate::federation::{mean_loss, Federation, Round, ServerRule};
+use crate::federation::{mean_critic_loss, Federation, Round, ServerRule};
 use crate::robust::reduce_into;
 use crate::secure::aggregate_masked;
 use pfrl_nn::params::apply_mixing_matrix_into;
-use pfrl_rl::{PpoAgent, PpoConfig};
+use pfrl_rl::{Agent, PpoConfig};
 use pfrl_sim::EnvDims;
 use pfrl_telemetry::Telemetry;
 use pfrl_tensor::Matrix;
@@ -40,15 +40,9 @@ pub(crate) fn restrict_mixing(mix: &Matrix, survivors: &[usize], n: usize) -> Ma
 }
 
 /// Uploads a PPO client's `[actor, critic]` (FedAvg and MFPO ship both).
-pub(crate) fn upload_actor_critic(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+pub(crate) fn upload_actor_critic(agent: &Agent, streams: &mut [Vec<f32>]) {
     agent.actor_params_into(&mut streams[0]);
     agent.critic_params_into(&mut streams[1]);
-}
-
-/// Mean critic loss across clients on their own last episodes, `None`
-/// before any training happened.
-pub(crate) fn mean_critic_loss(clients: &[Client<PpoAgent>]) -> Option<f64> {
-    mean_loss(clients.iter().filter_map(|c| c.agent.critic_loss_on_last_episode()))
 }
 
 /// Mean critic loss across clients immediately before and after one
@@ -85,12 +79,11 @@ pub struct FedAvg {
 }
 
 impl ServerRule for FedAvg {
-    type Agent = PpoAgent;
     const NAME: &'static str = "FedAvg";
     const FINGERPRINT: u8 = 1;
     const STREAMS: usize = 2;
 
-    fn init(&mut self, clients: &mut [Client<PpoAgent>], _: &FedConfig, _: EnvDims, _: &PpoConfig) {
+    fn init(&mut self, clients: &mut [Client], _: &FedConfig, _: EnvDims, _: &PpoConfig) {
         let actor0 = clients[0].agent.actor_params();
         let critic0 = clients[0].agent.critic_params();
         for c in &mut clients[1..] {
@@ -99,11 +92,12 @@ impl ServerRule for FedAvg {
         }
     }
 
-    fn upload(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+    fn upload(agent: &Agent, streams: &mut [Vec<f32>]) {
         upload_actor_critic(agent, streams);
     }
 
-    fn critic_loss(&self, clients: &[Client<PpoAgent>], _: &Telemetry) -> Option<f64> {
+    /// Always probed: the probes feed [`Federation::loss_probes`].
+    fn critic_loss(&self, clients: &[Client], _: &Telemetry) -> Option<f64> {
         mean_critic_loss(clients)
     }
 
@@ -111,7 +105,7 @@ impl ServerRule for FedAvg {
         self.loss_probes.push(RoundLossProbe { round, loss_before, loss_after });
     }
 
-    fn aggregate(&mut self, round: &mut Round<'_, PpoAgent>) {
+    fn aggregate(&mut self, round: &mut Round<'_>) {
         let parallel = round.cfg.parallel;
         if let Some(mix) = &self.mixing {
             let sub = restrict_mixing(mix, round.survivors, round.clients.len());
@@ -142,7 +136,7 @@ impl ServerRule for FedAvg {
         }
     }
 
-    fn broadcast(&mut self, round: &mut Round<'_, PpoAgent>) {
+    fn broadcast(&mut self, round: &mut Round<'_>) {
         let shared = self.mixing.is_none();
         let [actors, critics] = &self.out;
         for (slot, &i) in round.survivors.iter().enumerate() {

@@ -5,19 +5,22 @@
 //! fault injection and the quarantine gate, robust screens, the pooled
 //! upload arena, the span tree (`fed/round` with `local_train`, `upload`,
 //! `aggregate` and `broadcast` children), the builders and the checkpoint
-//! framing. A [`ServerRule`] supplies what differs: the agent type, the
-//! upload, the round's cohort, and the aggregate and broadcast steps.
+//! framing. A [`ServerRule`] supplies what differs: the critic count of
+//! the client agents, the upload, the round's cohort, and the aggregate
+//! and broadcast steps.
 
 use crate::attack::AttackPlan;
-use crate::checkpoint::{read_client_fault, write_client_fault, Fingerprint, Reader, Writer};
-use crate::client::{Client, FedAgent};
+use crate::checkpoint::{
+    read_agent, read_client_fault, write_agent, write_client_fault, Fingerprint, Reader, Writer,
+};
+use crate::client::Client;
 use crate::config::{ClientSetup, FedConfig};
 use crate::curves::TrainingCurves;
 use crate::error::FedError;
 use crate::fault::{AcceptedUpload, FaultPlan, FaultState, Presence, QuarantinePolicy};
 use crate::robust::{screen_uploads, RobustConfig, RobustScratch};
-use crate::runner::{ClientView, FederatedRunner, UploadArena};
-use pfrl_rl::PpoConfig;
+use crate::runner::{FederatedRunner, UploadArena};
+use pfrl_rl::{Agent, PpoConfig};
 use pfrl_scenario::ScenarioBinding;
 use pfrl_sim::{EnvConfig, EnvDims};
 use pfrl_stats::seeding::SeedStream;
@@ -29,7 +32,7 @@ use std::time::Instant;
 
 /// Runs `n` episodes on every client, in parallel when configured
 /// (bit-identical either way: clients share no state).
-pub(crate) fn run_all<A: FedAgent>(clients: &mut [Client<A>], n: usize, parallel: bool) {
+pub(crate) fn run_all(clients: &mut [Client], n: usize, parallel: bool) {
     if parallel {
         clients.par_iter_mut().for_each(|c| c.run_episodes(n));
     } else {
@@ -42,8 +45,10 @@ pub(crate) fn agent_seed(fed_cfg: &FedConfig, i: usize) -> u64 {
     SeedStream::new(fed_cfg.seed).child("agent").index(i as u64).seed()
 }
 
-/// Mean of per-client losses, `None` when there are none.
-pub(crate) fn mean_loss(losses: impl Iterator<Item = f32>) -> Option<f64> {
+/// Mean loss of the shared critic (`V`, or PFRL-DM's `ψ`) across clients
+/// on their own last episodes, `None` before any training happened.
+pub(crate) fn mean_critic_loss(clients: &[Client]) -> Option<f64> {
+    let losses = clients.iter().filter_map(|c| c.agent.critic_loss_on_last_episode());
     let (sum, count) = losses.fold((0.0f64, 0usize), |(sum, n), l| (sum + l as f64, n + 1));
     (count > 0).then(|| sum / count as f64)
 }
@@ -57,8 +62,6 @@ pub(crate) fn param_bytes(params: &[Vec<f32>]) -> u64 {
 /// rule. `Clone` lets a restore decode into a copy and commit only once the
 /// whole checkpoint has parsed.
 pub trait ServerRule: Clone + Send + 'static {
-    /// The client agent the rule federates.
-    type Agent: FedAgent + 'static;
     /// Paper name of the algorithm (e.g. `"PFRL-DM"`).
     const NAME: &'static str;
     /// Checkpoint fingerprint tag, distinct per rule.
@@ -66,15 +69,18 @@ pub trait ServerRule: Clone + Send + 'static {
     /// Parameter streams each client uploads per round; 0 means clients
     /// never communicate and the round ends after local training.
     const STREAMS: usize;
+    /// Critics per client agent: 1 (plain PPO) or 2 (PFRL-DM's local `φ`
+    /// and public `ψ`).
+    const CRITICS: usize = 1;
     /// Whether checkpoints carry the per-client fault bookkeeping.
     const CHECKPOINT_FAULTS: bool = true;
 
     /// One-time setup over the new clients (shared start, server model),
     /// given the schedule, env dims and PPO config.
-    fn init(&mut self, _: &mut [Client<Self::Agent>], _: &FedConfig, _: EnvDims, _: &PpoConfig) {}
+    fn init(&mut self, _: &mut [Client], _: &FedConfig, _: EnvDims, _: &PpoConfig) {}
 
     /// Writes `agent`'s upload into `streams` (`STREAMS` cleared buffers).
-    fn upload(_agent: &Self::Agent, _streams: &mut [Vec<f32>]) {}
+    fn upload(_agent: &Agent, _streams: &mut [Vec<f32>]) {}
 
     /// Picks the clients asked to upload; `k` is the participation target
     /// capped at the enrolled cohort. Default: every client.
@@ -84,8 +90,9 @@ pub trait ServerRule: Clone + Send + 'static {
 
     /// Mean client critic loss, probed around each aggregation
     /// (`fed/critic_loss_{before,after}_agg`); `None` skips the probe.
-    fn critic_loss(&self, _clients: &[Client<Self::Agent>], _telemetry: &Telemetry) -> Option<f64> {
-        None
+    /// Default: the shared critic's mean loss, only when telemetry is on.
+    fn critic_loss(&self, clients: &[Client], telemetry: &Telemetry) -> Option<f64> {
+        telemetry.is_enabled().then(|| mean_critic_loss(clients)).flatten()
     }
 
     /// Receives each round's critic-loss probe.
@@ -93,14 +100,14 @@ pub trait ServerRule: Clone + Send + 'static {
 
     /// Server work before the aggregate span (PFRL-DM's re-entry blend
     /// and attention).
-    fn prepare(&mut self, _round: &mut Round<'_, Self::Agent>) {}
+    fn prepare(&mut self, _round: &mut Round<'_>) {}
 
     /// Folds the surviving uploads into the server's models. Default:
     /// nothing, for rules that never communicate.
-    fn aggregate(&mut self, _round: &mut Round<'_, Self::Agent>) {}
+    fn aggregate(&mut self, _round: &mut Round<'_>) {}
 
     /// Sends models back to the clients and counts `fed/bytes_down`.
-    fn broadcast(&mut self, _round: &mut Round<'_, Self::Agent>) {}
+    fn broadcast(&mut self, _round: &mut Round<'_>) {}
 
     /// Settings a checkpoint must match, written after the fingerprint.
     fn write_config(&self, _w: &mut Writer) {}
@@ -120,13 +127,13 @@ pub trait ServerRule: Clone + Send + 'static {
 }
 
 /// What a [`ServerRule`] sees of one round once the upload phase is over.
-pub struct Round<'a, A: FedAgent> {
+pub struct Round<'a> {
     /// Index of the round (rounds completed before it).
     pub index: usize,
     /// The federation schedule.
     pub cfg: &'a FedConfig,
     /// Every client, by index.
-    pub clients: &'a mut [Client<A>],
+    pub clients: &'a mut [Client],
     /// Every client's connectivity this round.
     pub presences: &'a [Presence],
     /// Clients whose uploads survived the gate and screens, in cohort order.
@@ -160,7 +167,7 @@ struct Workspace {
 /// A federation of clients trained under one [`ServerRule`].
 pub struct Federation<R: ServerRule> {
     /// The clients, by index.
-    pub clients: Vec<Client<R::Agent>>,
+    pub clients: Vec<Client>,
     pub(crate) rule: R,
     pub(crate) cfg: FedConfig,
     pub(crate) dims: EnvDims,
@@ -199,12 +206,13 @@ impl<R: ServerRule> Federation<R> {
         fed_cfg: FedConfig,
     ) -> Self {
         fed_cfg.validate(setups.len());
-        let mut clients: Vec<Client<R::Agent>> = setups
+        let mut clients: Vec<Client> = setups
             .into_iter()
             .enumerate()
             .map(|(i, s)| {
                 let seed = agent_seed(&fed_cfg, i);
-                let agent = R::Agent::new(dims.state_dim(), dims.action_dim(), ppo_cfg, seed);
+                let (state_dim, action_dim) = (dims.state_dim(), dims.action_dim());
+                let agent = Agent::new(state_dim, action_dim, R::CRITICS, ppo_cfg, seed);
                 Client::new(s, agent, dims, env_cfg, &fed_cfg, i)
             })
             .collect();
@@ -476,7 +484,7 @@ impl<R: ServerRule> Federation<R> {
         for c in &self.clients {
             w.vec_f64(&c.rewards);
             w.usize(c.episodes_done());
-            c.agent.write_snapshot(&mut w);
+            write_agent(&mut w, &c.agent.snapshot());
         }
         if R::CHECKPOINT_FAULTS {
             for f in self.fault.client_states() {
@@ -503,10 +511,10 @@ impl<R: ServerRule> Federation<R> {
         let mut rule = self.rule.clone();
         rule.read_state(&mut r)?;
         let mut snaps = Vec::with_capacity(n);
-        for _ in 0..n {
+        for c in &self.clients {
             let rewards = r.vec_f64()?;
             let episodes_done = r.usize()?;
-            snaps.push((rewards, episodes_done, R::Agent::read_snapshot(&mut r)?));
+            snaps.push((rewards, episodes_done, read_agent(&mut r, c.agent.critic_count())?));
         }
         let n_faults = if R::CHECKPOINT_FAULTS { n } else { 0 };
         let faults = (0..n_faults).map(|_| read_client_fault(&mut r)).collect::<io::Result<_>>()?;
@@ -547,11 +555,11 @@ impl<R: ServerRule> FederatedRunner for Federation<R> {
     fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError> {
         Federation::restore_checkpoint(self, bytes)
     }
-    fn clients(&self) -> Vec<&dyn ClientView> {
-        self.clients.iter().map(|c| c as &dyn ClientView).collect()
+    fn clients(&self) -> &[Client] {
+        &self.clients
     }
-    fn clients_mut(&mut self) -> Vec<&mut dyn ClientView> {
-        self.clients.iter_mut().map(|c| c as &mut dyn ClientView).collect()
+    fn clients_mut(&mut self) -> &mut [Client] {
+        &mut self.clients
     }
     fn as_any(&self) -> &dyn Any {
         self

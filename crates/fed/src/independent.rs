@@ -1,7 +1,6 @@
 //! Independent (non-federated) PPO training — the paper's "PPO" baseline.
 
 use crate::federation::{Federation, ServerRule};
-use pfrl_rl::PpoAgent;
 
 /// Baseline runner: every client trains alone, no communication.
 pub type IndependentRunner = Federation<Independent>;
@@ -14,7 +13,6 @@ pub type IndependentRunner = Federation<Independent>;
 pub struct Independent;
 
 impl ServerRule for Independent {
-    type Agent = PpoAgent;
     const NAME: &'static str = "PPO";
     const FINGERPRINT: u8 = 0;
     const STREAMS: usize = 0;

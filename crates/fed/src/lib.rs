@@ -38,7 +38,7 @@ pub mod similarity;
 pub mod snapshot;
 
 pub use attack::{AttackModel, AttackPlan};
-pub use client::{Client, FedAgent};
+pub use client::Client;
 pub use config::{ClientSetup, FedConfig};
 pub use curves::TrainingCurves;
 pub use error::FedError;
@@ -53,7 +53,7 @@ pub use mfpo::{Mfpo, MfpoRunner};
 pub use pfrl_dm::{PfrlDm, PfrlDmRunner};
 pub use pfrl_scenario as scenario;
 pub use robust::{RobustAggregator, RobustConfig, RobustScratch};
-pub use runner::{ClientView, FederatedRunner};
+pub use runner::FederatedRunner;
 pub use secure::{aggregate_masked, mask_update};
 pub use similarity::{attention_weights, cosine_weights, kl_weights};
 pub use snapshot::PolicySnapshot;

@@ -13,12 +13,11 @@
 use crate::checkpoint::{bad, Reader, Writer};
 use crate::client::Client;
 use crate::config::{ClientSetup, FedConfig};
-use crate::fedavg::{mean_critic_loss, upload_actor_critic};
+use crate::fedavg::upload_actor_critic;
 use crate::federation::{Federation, Round, ServerRule};
 use crate::robust::reduce_into;
-use pfrl_rl::{PpoAgent, PpoConfig};
+use pfrl_rl::{Agent, PpoConfig};
 use pfrl_sim::{EnvConfig, EnvDims};
-use pfrl_telemetry::Telemetry;
 use std::io;
 
 /// Momentum-FRL runner.
@@ -73,12 +72,11 @@ impl Default for Mfpo {
 }
 
 impl ServerRule for Mfpo {
-    type Agent = PpoAgent;
     const NAME: &'static str = "MFPO";
     const FINGERPRINT: u8 = 2;
     const STREAMS: usize = 2;
 
-    fn init(&mut self, clients: &mut [Client<PpoAgent>], _: &FedConfig, _: EnvDims, _: &PpoConfig) {
+    fn init(&mut self, clients: &mut [Client], _: &FedConfig, _: EnvDims, _: &PpoConfig) {
         self.server = [clients[0].agent.actor_params(), clients[0].agent.critic_params()];
         for c in clients.iter_mut() {
             c.agent.set_actor_params(&self.server[0]);
@@ -87,15 +85,11 @@ impl ServerRule for Mfpo {
         self.velocity = self.server.each_ref().map(|p| vec![0.0; p.len()]);
     }
 
-    fn upload(agent: &PpoAgent, streams: &mut [Vec<f32>]) {
+    fn upload(agent: &Agent, streams: &mut [Vec<f32>]) {
         upload_actor_critic(agent, streams);
     }
 
-    fn critic_loss(&self, clients: &[Client<PpoAgent>], telemetry: &Telemetry) -> Option<f64> {
-        telemetry.is_enabled().then(|| mean_critic_loss(clients)).flatten()
-    }
-
-    fn aggregate(&mut self, round: &mut Round<'_, PpoAgent>) {
+    fn aggregate(&mut self, round: &mut Round<'_>) {
         // The robust reduction replaces the plain client average that
         // feeds the momentum (Mean delegates bit-identically).
         for s in 0..2 {
@@ -107,7 +101,7 @@ impl ServerRule for Mfpo {
         }
     }
 
-    fn broadcast(&mut self, round: &mut Round<'_, PpoAgent>) {
+    fn broadcast(&mut self, round: &mut Round<'_>) {
         let mut receivers = 0u64;
         for i in 0..round.clients.len() {
             if round.presences[i].is_present() {

@@ -21,15 +21,14 @@ use crate::checkpoint::{read_matrix, write_matrix, Reader, Writer};
 use crate::client::Client;
 use crate::config::{ClientSetup, FedConfig};
 use crate::fault::{AbsenceReason, Presence};
-use crate::federation::{agent_seed, mean_loss, param_bytes, Federation, Round, ServerRule};
+use crate::federation::{agent_seed, param_bytes, Federation, Round, ServerRule};
 use crate::robust::reduce_into;
 use crate::similarity::{attention_weights_into, mean_row_entropy};
 use pfrl_nn::params::{apply_mixing_matrix_into, average_params};
 use pfrl_nn::{Activation, AttentionScratch, Mlp, MultiHeadConfig};
-use pfrl_rl::{DualCriticAgent, PpoConfig};
+use pfrl_rl::{Agent, PpoConfig};
 use pfrl_sim::{EnvConfig, EnvDims};
 use pfrl_stats::seeding::SeedStream;
-use pfrl_telemetry::Telemetry;
 use pfrl_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -90,21 +89,15 @@ impl Default for PfrlDm {
 }
 
 impl ServerRule for PfrlDm {
-    type Agent = DualCriticAgent;
     const NAME: &'static str = "PFRL-DM";
     const FINGERPRINT: u8 = 3;
     const STREAMS: usize = 1;
+    const CRITICS: usize = 2;
 
     /// `ψ_G^{(0)}`: a fresh server-seeded critic, broadcast to everyone so
     /// the federation starts from a shared public critic (Algorithm 1,
     /// lines 4–5).
-    fn init(
-        &mut self,
-        clients: &mut [Client<DualCriticAgent>],
-        cfg: &FedConfig,
-        dims: EnvDims,
-        ppo: &PpoConfig,
-    ) {
+    fn init(&mut self, clients: &mut [Client], cfg: &FedConfig, dims: EnvDims, ppo: &PpoConfig) {
         let seeds = SeedStream::new(cfg.seed);
         let server_net = Mlp::new(
             &[dims.state_dim(), ppo.hidden, 1],
@@ -119,7 +112,7 @@ impl ServerRule for PfrlDm {
         self.next_client_index = clients.len();
     }
 
-    fn upload(agent: &DualCriticAgent, streams: &mut [Vec<f32>]) {
+    fn upload(agent: &Agent, streams: &mut [Vec<f32>]) {
         agent.public_critic_params_into(&mut streams[0]);
     }
 
@@ -133,17 +126,10 @@ impl ServerRule for PfrlDm {
         cohort.extend(self.order.iter().filter(eligible).take(k));
     }
 
-    /// Mean public-critic MSE (`L_ψ`) across clients with buffered
-    /// trajectories; telemetry-only, so skipped when telemetry is off.
-    fn critic_loss(&self, clients: &[Client<DualCriticAgent>], t: &Telemetry) -> Option<f64> {
-        let buffered = clients.iter().filter(|c| c.agent.has_trajectories());
-        t.is_enabled().then(|| mean_loss(buffered.map(|c| c.agent.critic_losses().1))).flatten()
-    }
-
     /// Staleness-weighted re-entry — a survivor back after `s` silent
     /// rounds contributes `decay^s · ψ + (1 − decay^s) · ψ_G` — then the
     /// attention weights (Eq. 18).
-    fn prepare(&mut self, round: &mut Round<'_, DualCriticAgent>) {
+    fn prepare(&mut self, round: &mut Round<'_>) {
         for (psi, &missed) in round.uploads[0].iter_mut().zip(round.missed) {
             if missed > 0 {
                 let w = round.fault.reentry_weight(missed);
@@ -165,7 +151,7 @@ impl ServerRule for PfrlDm {
     }
 
     /// Personalized critics (Eq. 21) and their robust mean `ψ_G` (Eq. 22).
-    fn aggregate(&mut self, round: &mut Round<'_, DualCriticAgent>) {
+    fn aggregate(&mut self, round: &mut Round<'_>) {
         let psis = &round.uploads[0];
         apply_mixing_matrix_into(&self.weights, psis, round.cfg.parallel, &mut self.personalized);
         let agg = round.robust.aggregator;
@@ -175,7 +161,7 @@ impl ServerRule for PfrlDm {
 
     /// Survivors get their personalized critic, other connected clients
     /// `ψ_G`; absent clients keep their last critic.
-    fn broadcast(&mut self, round: &mut Round<'_, DualCriticAgent>) {
+    fn broadcast(&mut self, round: &mut Round<'_>) {
         for (slot, &i) in round.survivors.iter().enumerate() {
             round.clients[i].agent.receive_public_critic(&self.personalized[slot]);
         }
@@ -281,7 +267,7 @@ impl Federation<PfrlDm> {
         self.rule.next_client_index += 1;
         let (state_dim, action_dim) = (self.dims.state_dim(), self.dims.action_dim());
         let seed = agent_seed(&self.cfg, i);
-        let mut agent = DualCriticAgent::new(state_dim, action_dim, self.ppo_cfg, seed);
+        let mut agent = Agent::new(state_dim, action_dim, PfrlDm::CRITICS, self.ppo_cfg, seed);
         agent.receive_public_critic(&self.rule.server_global);
         if bootstrap_actor && !self.clients.is_empty() {
             let actors: Vec<Vec<f32>> =

@@ -7,56 +7,17 @@
 //! the generic [`crate::Federation`]; the extension point for a new policy
 //! family is a [`crate::ServerRule`], not a new trait impl.
 //!
-//! Client heterogeneity (PPO clients vs dual-critic clients) is bridged by
-//! [`ClientView`], an object-safe view over `Client<A>` exposing exactly
-//! what post-training consumers need: identity, reward history, the
-//! private task pool, greedy evaluation, and policy export.
+//! Every client holds the same agent type (one or two critics), so the
+//! trait hands out plain `&[Client]` slices: identity, reward history, the
+//! private task pool, greedy evaluation, and policy export are inherent
+//! [`Client`] methods.
 
-use crate::client::{Client, FedAgent};
+use crate::client::Client;
 use crate::config::FedConfig;
 use crate::curves::TrainingCurves;
 use crate::error::FedError;
 use crate::snapshot::PolicySnapshot;
-use pfrl_sim::EpisodeMetrics;
-use pfrl_workloads::TaskSpec;
 use std::any::Any;
-
-/// Object-safe view of one federated client, independent of its agent type.
-pub trait ClientView {
-    /// Display name.
-    fn name(&self) -> &str;
-    /// Episode rewards collected so far.
-    fn rewards(&self) -> &[f64];
-    /// The client's private training pool.
-    fn train_tasks(&self) -> &[TaskSpec];
-    /// Training episodes completed.
-    fn episodes_done(&self) -> usize;
-    /// Greedy evaluation of the current policy on an arbitrary task set.
-    fn evaluate_on(&mut self, tasks: &[TaskSpec]) -> EpisodeMetrics;
-    /// Inference-only policy export; `algorithm` is the trainer's name.
-    fn policy_snapshot(&self, algorithm: &str) -> PolicySnapshot;
-}
-
-impl<A: FedAgent> ClientView for Client<A> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn rewards(&self) -> &[f64] {
-        &self.rewards
-    }
-    fn train_tasks(&self) -> &[TaskSpec] {
-        Client::train_tasks(self)
-    }
-    fn episodes_done(&self) -> usize {
-        Client::episodes_done(self)
-    }
-    fn evaluate_on(&mut self, tasks: &[TaskSpec]) -> EpisodeMetrics {
-        Client::evaluate_on(self, tasks)
-    }
-    fn policy_snapshot(&self, algorithm: &str) -> PolicySnapshot {
-        Client::policy_snapshot(self, algorithm)
-    }
-}
 
 /// Runner-owned pool of upload buffers: one *stream group* (a
 /// `Vec<Vec<f32>>`, e.g. `[actor, critic]` for FedAvg or `[ψ]` for
@@ -127,10 +88,10 @@ pub trait FederatedRunner: Send {
     fn checkpoint_bytes(&self) -> Vec<u8>;
     /// Restores state captured by [`Self::checkpoint_bytes`].
     fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), FedError>;
-    /// Views over the clients, in index order.
-    fn clients(&self) -> Vec<&dyn ClientView>;
-    /// Mutable views over the clients, in index order.
-    fn clients_mut(&mut self) -> Vec<&mut dyn ClientView>;
+    /// The clients, in index order.
+    fn clients(&self) -> &[Client];
+    /// The clients, mutably, in index order.
+    fn clients_mut(&mut self) -> &mut [Client];
     /// Escape hatch to the concrete runner (e.g. for PFRL-DM's attention
     /// weight history).
     fn as_any(&self) -> &dyn Any;

@@ -186,7 +186,7 @@ pub fn multi_head_attention_weights(client_params: &[Vec<f32>], cfg: &MultiHeadC
 ///
 /// The parallel path is bit-identical to the sequential one by
 /// construction: row standardization is elementwise-independent and
-/// in-place; each head computes into its own [`HeadScratch`] with the same
+/// in-place; each head computes into its own `HeadScratch` with the same
 /// sequential kernels either way; and head outputs are reduced into `out`
 /// in fixed head order only after every head has finished. Thread count
 /// therefore never changes any float operation or its order.

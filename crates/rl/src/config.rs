@@ -1,6 +1,6 @@
 //! PPO hyperparameters (defaults from Sec. 3.1 of the paper).
 
-/// Configuration shared by the single- and dual-critic PPO agents.
+/// Configuration of the PPO agent, whatever its critic count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
     /// Discount factor `γ` (paper: 0.99).

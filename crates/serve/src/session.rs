@@ -3,7 +3,7 @@
 //!
 //! The hot path is [`Session::decide`]: observe → actor forward → (mask) →
 //! argmax → env step. All per-decision tensors live in a thread-local
-//! scratch pool ([`scratch`]), so the steady-state path allocates nothing —
+//! scratch pool (`scratch`), so the steady-state path allocates nothing —
 //! the same discipline the training loop follows (see
 //! `tests/zero_alloc.rs` at the workspace root).
 

@@ -475,7 +475,7 @@ impl ShardedDecisionService {
     ///
     /// The owning shard is locked once per **run** of consecutive ids on
     /// the same shard — producers that keep per-shard batches (ids sort
-    /// stably by [`shard_of`]) pay one lock per shard per call instead of
+    /// stably by `shard_of`) pay one lock per shard per call instead of
     /// one per request. Requests that hit a full queue or name a dead
     /// session are not admitted and are counted as rejected.
     pub fn submit_many(&self, ids: &[SessionId]) -> usize {

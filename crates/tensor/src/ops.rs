@@ -17,7 +17,7 @@
 //! The serving-critical kernels (`matvec`/`matmul` with optional fused
 //! bias, `softmax`, `log_softmax`, `tanh`) additionally dispatch at runtime
 //! to AVX2 implementations in [`crate::simd`] that are held **bitwise
-//! identical** to the scalar reference implementations in [`reference`] —
+//! identical** to the scalar reference implementations in [`reference`](mod@reference) —
 //! the tolerance contract is zero ULP, pinned by the equivalence proptests
 //! in `crates/tensor/tests/proptests.rs`. Set `PFRL_TENSOR_SIMD=0` to
 //! force the scalar tier (results do not change, only speed).
@@ -137,7 +137,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// skipping exact-zero `a[i][p]` terms — identical to the historical
 /// allocating kernel, so results are bitwise unchanged. Dispatches to the
 /// register-blocked AVX2 GEMM when available (bit-identical; see
-/// [`reference`]).
+/// [`reference`](mod@reference)).
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols(),

@@ -114,7 +114,7 @@ const EXP_UNDERFLOW: f32 = -87.336_55;
 ///
 /// This is the reference definition of `exp` for every dispatched kernel
 /// that exponentiates (softmax, log-softmax, tanh). `-inf` and anything
-/// below [`EXP_UNDERFLOW`] flush to exactly `0.0`; NaN propagates.
+/// below `EXP_UNDERFLOW` flush to exactly `0.0`; NaN propagates.
 /// Accuracy vs libm `expf` is ~2 ulp on the supported range.
 #[inline]
 pub fn exp_nonpos(x: f32) -> f32 {

@@ -14,7 +14,7 @@
 
 use pfrl_dm::fed::{ClientSetup, FedConfig, PfrlDmRunner};
 use pfrl_dm::presets::{table2_clients, TABLE2_DIMS};
-use pfrl_dm::rl::{PpoAgent, PpoConfig};
+use pfrl_dm::rl::{Agent, PpoConfig};
 use pfrl_dm::sim::{CloudEnv, EnvConfig};
 use pfrl_dm::workloads::DatasetId;
 
@@ -51,7 +51,7 @@ fn main() {
 
     // Control: a fresh PPO on the identical environment and episode count.
     let mut control =
-        PpoAgent::new(TABLE2_DIMS.state_dim(), TABLE2_DIMS.action_dim(), ppo_cfg, 999);
+        Agent::new(TABLE2_DIMS.state_dim(), TABLE2_DIMS.action_dim(), 1, ppo_cfg, 999);
     let mut env = CloudEnv::new(TABLE2_DIMS, joiner.vms.clone(), EnvConfig::default());
     let mut control_curve = Vec::new();
     for ep in 0..joined_curve.len() {

@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pfrl_dm::rl::{PpoAgent, PpoConfig};
+use pfrl_dm::rl::{Agent, PpoConfig};
 use pfrl_dm::sim::{CloudEnv, EnvConfig, EnvDims, HeuristicPolicy, VmSpec};
 use pfrl_dm::workloads::DatasetId;
 
@@ -34,7 +34,7 @@ fn main() {
     );
 
     // Train a PPO scheduler (paper hyperparameters) for 150 episodes.
-    let mut agent = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 7);
+    let mut agent = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 7);
     let mut env = mk_env();
     let mut first10 = 0.0;
     let mut last10 = 0.0;

@@ -11,7 +11,7 @@
 //! cargo run --release --example workflow_scheduling
 //! ```
 
-use pfrl_dm::rl::{PpoAgent, PpoConfig};
+use pfrl_dm::rl::{Agent, PpoConfig};
 use pfrl_dm::sim::{Action, DagCloudEnv, EnvConfig, EnvDims, SchedulingEnv, VmSpec};
 use pfrl_dm::workloads::{DatasetId, WorkflowModel};
 
@@ -44,7 +44,7 @@ fn main() {
 
     // Train PPO on the DAG environment.
     let mut env = DagCloudEnv::new(dims, vms.clone(), EnvConfig::default());
-    let mut agent = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 3);
+    let mut agent = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 3);
     let mut first10 = 0.0;
     let mut last10 = 0.0;
     let episodes = 120;

@@ -2,7 +2,7 @@
 //! secure aggregation, energy/cost objectives, checkpointing, and action
 //! masking — exercised through the public API across crates.
 
-use pfrl_rl::{DualCriticAgent, PpoAgent, PpoConfig};
+use pfrl_rl::{Agent, PpoConfig};
 use pfrl_sim::objectives::{total_cost_dollars, total_energy_wh, CostModel, EnergyModel};
 use pfrl_sim::{Action, DagCloudEnv, EnvConfig, EnvDims, SchedulingEnv, VmSpec};
 use pfrl_workloads::{DatasetId, WorkflowModel};
@@ -31,7 +31,7 @@ fn small_workflows(n: usize, seed: u64) -> Vec<pfrl_workloads::Workflow> {
 #[test]
 fn ppo_trains_on_dag_environment_and_improves() {
     let (dims, mut env) = dag_env();
-    let mut agent = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 1);
+    let mut agent = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 1);
     let wfs = small_workflows(4, 3);
     let mut rewards = Vec::new();
     for _ in 0..60 {
@@ -46,8 +46,7 @@ fn ppo_trains_on_dag_environment_and_improves() {
 #[test]
 fn dual_critic_agent_works_on_dags_too() {
     let (dims, mut env) = dag_env();
-    let mut agent =
-        DualCriticAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 2);
+    let mut agent = Agent::new(dims.state_dim(), dims.action_dim(), 2, PpoConfig::default(), 2);
     let wfs = small_workflows(3, 5);
     for _ in 0..3 {
         env.reset(wfs.clone());
@@ -143,7 +142,7 @@ fn masked_and_unmasked_agents_share_checkpoint_format() {
     let dir = std::env::temp_dir().join("pfrl_ext_ckpt");
     let path = dir.join("agent.ckpt");
     let cfg = PpoConfig { mask_invalid_actions: true, ..Default::default() };
-    let mut masked = PpoAgent::new(dims.state_dim(), dims.action_dim(), cfg, 4);
+    let mut masked = Agent::new(dims.state_dim(), dims.action_dim(), 1, cfg, 4);
     let mut env = pfrl_sim::CloudEnv::new(
         dims,
         vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)],
@@ -153,7 +152,7 @@ fn masked_and_unmasked_agents_share_checkpoint_format() {
     masked.train_one_episode(&mut env);
     masked.save_checkpoint(&path).unwrap();
 
-    let mut plain = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 9);
+    let mut plain = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 9);
     plain.load_checkpoint(&path).unwrap();
     assert_eq!(plain.actor_params(), masked.actor_params());
     let _ = std::fs::remove_dir_all(dir);

@@ -4,7 +4,7 @@
 
 use pfrl_core::experiment::{run_federation, Algorithm};
 use pfrl_core::fed::FedConfig;
-use pfrl_core::rl::{DualCriticAgent, PpoAgent, PpoConfig};
+use pfrl_core::rl::{Agent, PpoConfig};
 use pfrl_core::sim::{CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_core::workloads::DatasetId;
 
@@ -30,7 +30,7 @@ fn ppo_and_dual_critic_both_improve() {
     };
 
     let mut env = mk_env();
-    let mut ppo = PpoAgent::new(d.state_dim(), d.action_dim(), PpoConfig::default(), 1);
+    let mut ppo = Agent::new(d.state_dim(), d.action_dim(), 1, PpoConfig::default(), 1);
     let mut r1 = Vec::new();
     for _ in 0..80 {
         env.reset(tasks.clone());
@@ -38,7 +38,7 @@ fn ppo_and_dual_critic_both_improve() {
     }
     assert!(improvement(&r1) > 5.0, "PPO improvement {:.1}", improvement(&r1));
 
-    let mut dual = DualCriticAgent::new(d.state_dim(), d.action_dim(), PpoConfig::default(), 1);
+    let mut dual = Agent::new(d.state_dim(), d.action_dim(), 2, PpoConfig::default(), 1);
     let mut r2 = Vec::new();
     for _ in 0..80 {
         env.reset(tasks.clone());

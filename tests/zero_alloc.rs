@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wrapper tallies every allocation in the
 //! process. After a warmup pass has sized all workspaces, a full PPO
-//! train-episode + update, a dual-critic update, and per-decision greedy
-//! inference must allocate **zero** bytes.
+//! train-episode + update, a dual-critic update, a public-critic receive,
+//! and per-decision greedy inference must allocate **zero** bytes.
 //!
 //! Both measurements live in one `#[test]` because the counters are
 //! process-global and libtest runs sibling tests on parallel threads.
@@ -15,7 +15,7 @@ use pfrl_core::fed::{
     ClientSetup, FedAvgRunner, FedConfig, MfpoRunner, PfrlDmRunner, PolicySnapshot,
 };
 use pfrl_core::nn::{Activation, Mlp, MultiHeadConfig};
-use pfrl_core::rl::{policy, DualCriticAgent, PpoAgent, PpoConfig};
+use pfrl_core::rl::{policy, Agent, PpoConfig};
 use pfrl_core::serve::Session;
 use pfrl_core::sim::{Action, CloudEnv, EnvConfig, EnvDims, VmSpec};
 use pfrl_core::workloads::DatasetId;
@@ -65,9 +65,8 @@ fn hot_paths_are_allocation_free_after_warmup() {
         CloudEnv::new(dims, vec![VmSpec::new(8, 64.0), VmSpec::new(4, 32.0)], EnvConfig::default());
     let tasks = DatasetId::K8s.model().sample(25, 5);
 
-    let mut ppo = PpoAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 1);
-    let mut dual =
-        DualCriticAgent::new(dims.state_dim(), dims.action_dim(), PpoConfig::default(), 9);
+    let mut ppo = Agent::new(dims.state_dim(), dims.action_dim(), 1, PpoConfig::default(), 1);
+    let mut dual = Agent::new(dims.state_dim(), dims.action_dim(), 2, PpoConfig::default(), 9);
 
     // Warmup: size every workspace (scratch matrices, rollout buffer, env
     // queues) to its steady-state capacity. Episode length shifts while the
@@ -108,6 +107,20 @@ fn hot_paths_are_allocation_free_after_warmup() {
         (0, 0),
         "dual-critic train episode + update allocated {calls} times / {bytes} bytes after warmup"
     );
+
+    // A public-critic broadcast refreshes alpha from the retained batch,
+    // rebuilt in the agent's scratch. Receiving a copy of the local critic
+    // makes both losses equal, so a refreshed alpha is exactly 0.5. The
+    // parameters are copied before measurement, as a server sends them.
+    let phi = dual.critic_params();
+    assert_ne!(dual.alpha(), 0.5);
+    let (calls, bytes, _) = count_allocs(|| dual.receive_public_critic(&phi));
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "receive_public_critic allocated {calls} times / {bytes} bytes after warmup"
+    );
+    assert_eq!(dual.alpha(), 0.5, "the receive must refresh alpha");
 
     // Per-decision greedy inference: the exact observe → forward → mask →
     // argmax → step loop the agents run, measured over a full episode.
